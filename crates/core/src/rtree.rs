@@ -107,15 +107,16 @@ impl RTree {
         let i3 = (page & ((1 << L3_BITS) - 1)) as usize;
         let i2 = (page >> L3_BITS & ((1 << L2_BITS) - 1)) as usize;
         let i1 = (page >> (L3_BITS + L2_BITS)) as usize;
-        debug_assert!(i1 < 1 << L1_BITS, "offset {off:#x} beyond rtree coverage");
         (i1, i2, i3)
     }
 
     /// The leaf slot for `off`, descending without installing anything.
+    /// `None` for offsets beyond the tree's coverage: nothing can be
+    /// registered there, and a caller's pointer may be garbage.
     #[inline]
     fn slot(&self, off: PmOffset) -> Option<&AtomicU64> {
         let (i1, i2, i3) = Self::split(off);
-        let mid = self.root[i1].load(Ordering::Acquire);
+        let mid = self.root.get(i1)?.load(Ordering::Acquire);
         if mid.is_null() {
             return None;
         }
@@ -134,6 +135,7 @@ impl RTree {
     #[inline]
     fn slot_or_install(&self, off: PmOffset) -> &AtomicU64 {
         let (i1, i2, i3) = Self::split(off);
+        debug_assert!(i1 < FANOUT, "offset {off:#x} beyond rtree coverage");
         let mid = install(&self.root[i1], new_mid);
         trace_read(mid, "rtree-node");
         // SAFETY: installed nodes live until Drop (&self borrow).

@@ -32,60 +32,52 @@ use crate::size_class::NUM_CLASSES;
 /// absorbs everything larger.
 pub const HIST_BUCKETS: usize = 64;
 
-/// Operation kinds with their own latency histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// `malloc_to` served by the small (slab) path.
-    MallocSmall,
-    /// `malloc_to` served by the large (extent) path.
-    MallocLarge,
-    /// `free_from` (either path).
-    Free,
-    /// A slab-morph transform (nested inside a small-malloc refill).
-    Morph,
-    /// A booklog slow-GC pass.
-    SlowGc,
-    /// Pool recovery (`NvAllocator::recover`).
-    Recovery,
+/// Declares [`OpKind`] from one list of `Variant => "json_label"` rows;
+/// row order is the indexing and JSON order.
+macro_rules! op_kinds {
+    ($( $(#[$doc:meta])* $kind:ident => $label:literal, )*) => {
+        /// Operation kinds with their own latency histogram.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum OpKind {
+            $( $(#[$doc])* $kind, )*
+        }
+
+        impl OpKind {
+            /// Every kind, in stable (indexing and JSON) order.
+            pub const ALL: [OpKind; [$($label),*].len()] = [$(OpKind::$kind),*];
+
+            /// Number of kinds.
+            pub const COUNT: usize = Self::ALL.len();
+
+            /// Position in [`Self::ALL`].
+            #[inline]
+            pub(crate) fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Snake-case label used as the JSON key.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $( OpKind::$kind => $label, )*
+                }
+            }
+        }
+    };
 }
 
-impl OpKind {
-    /// Every kind, in stable (indexing and JSON) order.
-    pub const ALL: [OpKind; 6] = [
-        OpKind::MallocSmall,
-        OpKind::MallocLarge,
-        OpKind::Free,
-        OpKind::Morph,
-        OpKind::SlowGc,
-        OpKind::Recovery,
-    ];
-
-    /// Number of kinds.
-    pub const COUNT: usize = Self::ALL.len();
-
-    #[inline]
-    pub(crate) fn index(self) -> usize {
-        match self {
-            OpKind::MallocSmall => 0,
-            OpKind::MallocLarge => 1,
-            OpKind::Free => 2,
-            OpKind::Morph => 3,
-            OpKind::SlowGc => 4,
-            OpKind::Recovery => 5,
-        }
-    }
-
-    /// Snake-case label used as the JSON key.
-    pub fn label(self) -> &'static str {
-        match self {
-            OpKind::MallocSmall => "malloc_small",
-            OpKind::MallocLarge => "malloc_large",
-            OpKind::Free => "free",
-            OpKind::Morph => "morph",
-            OpKind::SlowGc => "slow_gc",
-            OpKind::Recovery => "recovery",
-        }
-    }
+op_kinds! {
+    /// `malloc_to` served by the small (slab) path.
+    MallocSmall => "malloc_small",
+    /// `malloc_to` served by the large (extent) path.
+    MallocLarge => "malloc_large",
+    /// `free_from` (either path).
+    Free => "free",
+    /// A slab-morph transform (nested inside a small-malloc refill).
+    Morph => "morph",
+    /// A booklog slow-GC pass.
+    SlowGc => "slow_gc",
+    /// Pool recovery (`NvAllocator::recover`).
+    Recovery => "recovery",
 }
 
 /// The log2 bucket index a sample of `ns` nanoseconds falls into.
@@ -157,11 +149,8 @@ impl LatencyHistogram {
 
     /// Bucket-wise saturating difference `self - earlier`.
     pub fn since(&self, earlier: &LatencyHistogram) -> LatencyHistogram {
-        let mut out = LatencyHistogram::default();
-        for (i, o) in out.buckets.iter_mut().enumerate() {
-            *o = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        out
+        let buckets = std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i]));
+        LatencyHistogram { buckets }
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`) of the recorded samples in
@@ -226,11 +215,7 @@ impl OpHistograms {
 
     /// Histogram-wise saturating difference `self - earlier`.
     pub fn since(&self, earlier: &OpHistograms) -> OpHistograms {
-        let mut out = OpHistograms::default();
-        for (i, o) in out.hists.iter_mut().enumerate() {
-            *o = self.hists[i].since(&earlier.hists[i]);
-        }
-        out
+        OpHistograms { hists: std::array::from_fn(|i| self.hists[i].since(&earlier.hists[i])) }
     }
 }
 
@@ -247,77 +232,7 @@ pub enum TcacheEvent {
     Flush,
 }
 
-impl TcacheEvent {
-    #[inline]
-    fn index(self) -> usize {
-        match self {
-            TcacheEvent::Hit => 0,
-            TcacheEvent::Miss => 1,
-            TcacheEvent::Refill => 2,
-            TcacheEvent::Flush => 3,
-        }
-    }
-}
-
-/// Scalar counters kept as relaxed atomics in [`CoreMetrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counter {
-    /// Sub-tcache cursor rotations (interleaved-tcache round-robin steps).
-    CursorRotations,
-    /// Slabs carved from the large allocator.
-    SlabAllocs,
-    /// Fully-free slabs returned to the large allocator.
-    SlabRetires,
-    /// Slabs examined as morph candidates (LRU scan length).
-    MorphCandidates,
-    /// Morph transforms started.
-    MorphStarted,
-    /// Morph transforms completed.
-    MorphCompleted,
-    /// Interrupted morphs rolled back or forward during recovery.
-    MorphUndone,
-    /// Micro-WAL entries appended.
-    WalAppends,
-    /// WAL entries replayed during recovery.
-    WalReplays,
-    /// Arena/large mutex acquisitions on the free path (slow frees only;
-    /// the lock-free fast path never counts here).
-    FreeLocks,
-    /// Same-thread frees completed on the lock-free fast path.
-    FreeFastLocal,
-    /// Cross-arena frees pushed onto a remote-free queue.
-    FreeRemote,
-    /// Remote-free queue drain batches (non-empty drains).
-    RemoteDrainBatches,
-    /// Blocks returned to slabs by remote-queue drains.
-    RemoteDrained,
-    /// Foreign-arena remote queues drained opportunistically by a malloc
-    /// slow path (the drain hook; counts non-empty drains).
-    RemoteDrainForeign,
-    /// Slab carves served from a per-arena reservoir.
-    ReservoirHits,
-    /// Slab carves that had to take a large-shard lock.
-    ReservoirMisses,
-    /// Wall-clock nanoseconds spent waiting to acquire instrumented
-    /// mutexes (arena free/refill locks; large-shard waits are merged in
-    /// by the front end at snapshot time).
-    LockWaitNs,
-    /// Wall-clock nanoseconds instrumented mutexes were held.
-    LockHoldNs,
-    /// Slow-path requests submitted to the allocator service's per-arena
-    /// queues (retires past a full reservoir, restock carves).
-    ServiceRequests,
-    /// Service requests executed to completion by an epoch tick.
-    ServiceCompletions,
-    /// Service epoch ticks executed (cooperative or threaded).
-    ServiceTicks,
-    /// Occupancy-aware large-shard rebalance decisions that changed the
-    /// overflow-shard preference.
-    ServiceRebalances,
-}
-
-const NUM_COUNTERS: usize = 23;
-const TCACHE_EVENTS: usize = 4;
+const TCACHE_EVENTS: usize = TcacheEvent::Flush as usize + 1; // `Flush` is the last event.
 
 /// A lock-free log2-bucketed histogram: the shared-atomic counterpart of
 /// [`LatencyHistogram`], for samples recorded from arbitrary threads
@@ -344,11 +259,9 @@ impl AtomicHistogram {
 
     /// A plain-histogram copy of the current bucket counts.
     pub fn snapshot(&self) -> LatencyHistogram {
-        let mut out = LatencyHistogram::default();
-        for (o, b) in out.buckets.iter_mut().zip(self.buckets.iter()) {
-            *o = b.load(Ordering::Relaxed);
+        LatencyHistogram {
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
         }
-        out
     }
 }
 
@@ -363,7 +276,7 @@ impl AtomicHistogram {
 pub struct CoreMetrics {
     enabled: bool,
     tcache: Vec<[AtomicU64; TCACHE_EVENTS]>,
-    counters: [AtomicU64; NUM_COUNTERS],
+    counters: [AtomicU64; COUNTERS.len()],
     hists: Mutex<OpHistograms>,
     lock_wait: AtomicHistogram,
     lock_hold: AtomicHistogram,
@@ -376,7 +289,7 @@ impl CoreMetrics {
         CoreMetrics {
             enabled,
             tcache: (0..NUM_CLASSES).map(|_| Default::default()).collect(),
-            counters: Default::default(),
+            counters: [const { AtomicU64::new(0) }; COUNTERS.len()],
             hists: Mutex::new(OpHistograms::default()),
             lock_wait: AtomicHistogram::default(),
             lock_hold: AtomicHistogram::default(),
@@ -393,7 +306,7 @@ impl CoreMetrics {
     #[inline]
     pub fn tcache_event(&self, class: usize, ev: TcacheEvent) {
         if self.enabled {
-            self.tcache[class][ev.index()].fetch_add(1, Ordering::Relaxed);
+            self.tcache[class][ev as usize].fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -472,30 +385,9 @@ impl CoreMetrics {
             s.tcache_flushes += c.flushes;
             s.tcache_by_class.push(c);
         }
-        let c = |i: Counter| self.counters[i as usize].load(Ordering::Relaxed);
-        s.cursor_rotations = c(Counter::CursorRotations);
-        s.slab_allocs = c(Counter::SlabAllocs);
-        s.slab_retires = c(Counter::SlabRetires);
-        s.morph_candidates = c(Counter::MorphCandidates);
-        s.morph_started = c(Counter::MorphStarted);
-        s.morph_completed = c(Counter::MorphCompleted);
-        s.morph_undone = c(Counter::MorphUndone);
-        s.wal_appends = c(Counter::WalAppends);
-        s.wal_replays = c(Counter::WalReplays);
-        s.free_locks = c(Counter::FreeLocks);
-        s.free_fast_local = c(Counter::FreeFastLocal);
-        s.free_remote = c(Counter::FreeRemote);
-        s.remote_drain_batches = c(Counter::RemoteDrainBatches);
-        s.remote_drained = c(Counter::RemoteDrained);
-        s.remote_drain_foreign = c(Counter::RemoteDrainForeign);
-        s.reservoir_hits = c(Counter::ReservoirHits);
-        s.reservoir_misses = c(Counter::ReservoirMisses);
-        s.lock_wait_ns = c(Counter::LockWaitNs);
-        s.lock_hold_ns = c(Counter::LockHoldNs);
-        s.service_requests = c(Counter::ServiceRequests);
-        s.service_completions = c(Counter::ServiceCompletions);
-        s.service_ticks = c(Counter::ServiceTicks);
-        s.service_rebalances = c(Counter::ServiceRebalances);
+        for &c in COUNTERS {
+            *s.counter_mut(c) = self.counter(c);
+        }
         s.lock_wait_hist = self.lock_wait.snapshot();
         s.lock_hold_hist = self.lock_hold.snapshot();
         s.hists = *self.hists.lock();
@@ -518,22 +410,6 @@ pub struct TcacheClassCounters {
     pub flushes: u64,
 }
 
-impl TcacheClassCounters {
-    fn any(&self) -> bool {
-        self.hits | self.misses | self.refills | self.flushes != 0
-    }
-
-    fn since(&self, earlier: &TcacheClassCounters) -> TcacheClassCounters {
-        TcacheClassCounters {
-            class: self.class,
-            hits: self.hits.saturating_sub(earlier.hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            refills: self.refills.saturating_sub(earlier.refills),
-            flushes: self.flushes.saturating_sub(earlier.flushes),
-        }
-    }
-}
-
 /// Version of the exported JSON surfaces ([`MetricsSnapshot::to_json`],
 /// timeline JSON-lines, profile dumps). External scrapers key on this to
 /// detect format changes; bump it whenever a field is renamed, removed,
@@ -543,274 +419,246 @@ impl TcacheClassCounters {
 /// `schema_version` field everywhere + profiler fields/dumps).
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// A point-in-time copy of the allocator's internal metrics, cheap to
-/// diff between benchmark phases with [`MetricsSnapshot::since`].
-///
-/// Allocators without internal telemetry (the baselines) return the
-/// all-zero default from [`crate::api::PmAllocator::metrics`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Tcache hits summed over classes.
-    pub tcache_hits: u64,
-    /// Tcache misses summed over classes.
-    pub tcache_misses: u64,
-    /// Tcache refills summed over classes.
-    pub tcache_refills: u64,
-    /// Tcache full-cache flushes summed over classes.
-    pub tcache_flushes: u64,
-    /// Per-class tcache counters (one entry per size class).
-    pub tcache_by_class: Vec<TcacheClassCounters>,
-    /// Sub-tcache cursor rotations.
-    pub cursor_rotations: u64,
-    /// Slabs carved from the large allocator.
-    pub slab_allocs: u64,
-    /// Fully-free slabs returned to the large allocator.
-    pub slab_retires: u64,
-    /// Slabs examined as morph candidates.
-    pub morph_candidates: u64,
-    /// Morph transforms started.
-    pub morph_started: u64,
-    /// Morph transforms completed.
-    pub morph_completed: u64,
-    /// Interrupted morphs resolved during recovery.
-    pub morph_undone: u64,
-    /// Micro-WAL entries appended.
-    pub wal_appends: u64,
-    /// WAL entries replayed during recovery.
-    pub wal_replays: u64,
-    /// Mutex acquisitions on the free path (slow frees only).
-    pub free_locks: u64,
-    /// Same-thread frees completed on the lock-free fast path.
-    pub free_fast_local: u64,
-    /// Cross-arena frees pushed onto a remote-free queue.
-    pub free_remote: u64,
-    /// Remote-free queue drain batches (non-empty drains).
-    pub remote_drain_batches: u64,
-    /// Blocks returned to slabs by remote-queue drains.
-    pub remote_drained: u64,
-    /// Foreign-arena remote queues drained opportunistically by a malloc
-    /// slow path (the drain hook; counts non-empty drains).
-    pub remote_drain_foreign: u64,
-    /// Large-shard mutex acquisitions on the large-op path (alloc, free,
-    /// and slab carve/retire; observer reads are excluded).
-    pub large_lock_acquires: u64,
-    /// Large-shard mutex acquisitions that found the lock held and had to
-    /// block. `large_lock_contended / large_lock_acquires` is the shard
-    /// contention rate.
-    pub large_lock_contended: u64,
-    /// Per-shard breakdown of [`Self::large_lock_acquires`], indexed by
-    /// shard number.
-    pub large_shard_acquires: Vec<u64>,
-    /// Per-shard breakdown of [`Self::large_lock_contended`], indexed by
-    /// shard number.
-    pub large_shard_contended: Vec<u64>,
-    /// Slab carves served from a per-arena reservoir.
-    pub reservoir_hits: u64,
-    /// Slab carves that had to take the large-allocator lock.
-    pub reservoir_misses: u64,
-    /// Wall-clock nanoseconds spent waiting to acquire instrumented
-    /// mutexes (arena free/refill locks and large-shard locks for
-    /// NVAlloc; the global heap/large/WAL mutexes for the baselines).
-    /// Wall-clock, not modelled: contention is a host-scheduling effect
-    /// the virtual clocks deliberately do not see.
-    pub lock_wait_ns: u64,
-    /// Wall-clock nanoseconds instrumented mutexes were held.
-    pub lock_hold_ns: u64,
-    /// Slow-path requests submitted to the allocator service's per-arena
-    /// queues ([`crate::service`]).
-    pub service_requests: u64,
-    /// Service requests executed to completion by an epoch tick.
-    pub service_completions: u64,
-    /// Service epoch ticks executed.
-    pub service_ticks: u64,
-    /// Shard-rebalance decisions that changed the overflow preference.
-    pub service_rebalances: u64,
-    /// Histogram of per-acquisition lock wait times (wall-clock ns).
-    pub lock_wait_hist: LatencyHistogram,
-    /// Histogram of per-acquisition lock hold times (wall-clock ns).
-    pub lock_hold_hist: LatencyHistogram,
-    /// Flight-recorder events captured (still resident in the rings).
-    pub trace_events: u64,
-    /// Flight-recorder events overwritten by drop-oldest wraparound.
-    pub trace_dropped: u64,
-    /// Bookkeeping-log entries appended (includes slow-GC copies).
-    pub booklog_appends: u64,
-    /// Bookkeeping-log tombstones appended.
-    pub booklog_tombstones: u64,
-    /// Fast-GC passes over the booklog.
-    pub booklog_fast_gc_runs: u64,
-    /// Empty chunks reaped by fast GC.
-    pub booklog_fast_gc_reaps: u64,
-    /// Slow-GC passes over the booklog.
-    pub booklog_slow_gc_runs: u64,
-    /// Live entries copied by slow GC.
-    pub booklog_slow_gc_copied: u64,
-    /// Dual-chain head flips performed by slow GC.
-    pub booklog_alt_flips: u64,
-    /// Extent allocations served by best-fit from the free lists.
-    pub extent_best_fit: u64,
-    /// Extent splits (head/tail remainders produced by carving).
-    pub extent_splits: u64,
-    /// Extent coalesces with address-adjacent reclaimed neighbours.
-    pub extent_coalesces: u64,
-    /// Decay-schedule ticks executed by the large allocator.
-    pub decay_epochs: u64,
-    /// pmsan: stores over a flushed-but-unfenced line (ordering races).
-    pub pmsan_store_unfenced: u64,
-    /// pmsan: fences issued with zero pending flushes.
-    pub pmsan_empty_fence: u64,
-    /// pmsan: flushes of lines with nothing unpersisted.
-    pub pmsan_redundant_flush: u64,
-    /// pmsan: lines still unpersisted at the shutdown audit.
-    pub pmsan_shutdown_dirty: u64,
-    /// pmsan: total persist-ordering violations (sum of the four above).
-    pub pmsan_violations: u64,
-    /// Profiler: sampled allocation events ([`crate::prof`]).
-    pub prof_samples: u64,
-    /// Profiler: provenance-sidelog records appended (ALLOC + FREE).
-    pub prof_appends: u64,
-    /// Profiler: sampled free events (FREE records for sampled objects).
-    pub prof_frees: u64,
-    /// Profiler: sidelog half compactions.
-    pub prof_compactions: u64,
-    /// Profiler: records dropped because both sidelog halves were full of
-    /// live records (coverage loss, not corruption).
-    pub prof_dropped: u64,
-    /// Op-latency histograms over the virtual PM clock.
-    pub hists: OpHistograms,
+/// Declares the metrics table: one row per [`MetricsSnapshot`] field, in
+/// JSON key order, written `name: Type` under its doc comment; the name is
+/// also the JSON key. A row ending in `= Variant` is a scalar counter owned
+/// by [`CoreMetrics`] and also declares that [`Counter`] slot, in row order.
+/// The rows after `;` are histograms: `since` diffs them, `to_json` renders
+/// them by hand after the table's fields.
+macro_rules! metrics_table {
+    (
+        $( $(#[$doc:meta])* $field:ident: $ty:ty $(= $counter:ident)?, )*
+        ;
+        $( $(#[$hdoc:meta])* $hist:ident: $hty:ty, )*
+    ) => {
+        /// Scalar counters kept as relaxed atomics in [`CoreMetrics`], one per
+        /// registry-owned row of the metrics table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(
+                #[doc = concat!("Registry slot of [`MetricsSnapshot::", stringify!($field), "`].")]
+                $counter,
+            )?)*
+        }
+
+        /// Every [`Counter`], in slot order.
+        const COUNTERS: &[Counter] = &[$($(Counter::$counter,)?)*];
+
+        /// A point-in-time copy of the allocator's internal metrics, cheap to
+        /// diff between benchmark phases with [`MetricsSnapshot::since`].
+        ///
+        /// Allocators without internal telemetry (the baselines) return the
+        /// all-zero default from [`crate::api::PmAllocator::metrics`].
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $( $(#[$doc])* pub $field: $ty, )*
+            $( $(#[$hdoc])* pub $hist: $hty, )*
+        }
+
+        impl MetricsSnapshot {
+            /// Field-wise saturating difference `self - earlier` (for phase
+            /// measurements). Counters are monotone while an allocator lives;
+            /// saturating keeps diffs across instances panic-free. Per-class
+            /// and per-shard entries missing from `earlier` count as zero.
+            pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $field: self.$field.since(&earlier.$field), )*
+                    $( $hist: self.$hist.since(&earlier.$hist), )*
+                }
+            }
+
+            /// The field registry slot `c` is copied into.
+            fn counter_mut(&mut self, c: Counter) -> &mut u64 {
+                match c {
+                    $($( Counter::$counter => &mut self.$field, )?)*
+                }
+            }
+
+            /// One JSON field per table row, in row order.
+            fn table_json(&self, o: &mut json::JsonObj) {
+                $( o.field_raw(stringify!($field), &self.$field.json()); )*
+            }
+        }
+    };
 }
 
-impl MetricsSnapshot {
-    /// Counter-wise saturating difference `self - earlier` (for phase
-    /// measurements). Counters are monotone while an allocator is alive,
-    /// so the subtraction only saturates when snapshots from different
-    /// allocator instances are mixed; saturating keeps even that case
-    /// panic-free. Per-class entries missing from `earlier` are treated
-    /// as zero.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let zero = TcacheClassCounters::default();
-        let tcache_by_class = self
-            .tcache_by_class
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.since(earlier.tcache_by_class.get(i).unwrap_or(&zero)))
-            .collect();
-        MetricsSnapshot {
-            tcache_hits: self.tcache_hits.saturating_sub(earlier.tcache_hits),
-            tcache_misses: self.tcache_misses.saturating_sub(earlier.tcache_misses),
-            tcache_refills: self.tcache_refills.saturating_sub(earlier.tcache_refills),
-            tcache_flushes: self.tcache_flushes.saturating_sub(earlier.tcache_flushes),
-            tcache_by_class,
-            cursor_rotations: self.cursor_rotations.saturating_sub(earlier.cursor_rotations),
-            slab_allocs: self.slab_allocs.saturating_sub(earlier.slab_allocs),
-            slab_retires: self.slab_retires.saturating_sub(earlier.slab_retires),
-            morph_candidates: self.morph_candidates.saturating_sub(earlier.morph_candidates),
-            morph_started: self.morph_started.saturating_sub(earlier.morph_started),
-            morph_completed: self.morph_completed.saturating_sub(earlier.morph_completed),
-            morph_undone: self.morph_undone.saturating_sub(earlier.morph_undone),
-            wal_appends: self.wal_appends.saturating_sub(earlier.wal_appends),
-            wal_replays: self.wal_replays.saturating_sub(earlier.wal_replays),
-            free_locks: self.free_locks.saturating_sub(earlier.free_locks),
-            free_fast_local: self.free_fast_local.saturating_sub(earlier.free_fast_local),
-            free_remote: self.free_remote.saturating_sub(earlier.free_remote),
-            remote_drain_batches: self
-                .remote_drain_batches
-                .saturating_sub(earlier.remote_drain_batches),
-            remote_drained: self.remote_drained.saturating_sub(earlier.remote_drained),
-            remote_drain_foreign: self
-                .remote_drain_foreign
-                .saturating_sub(earlier.remote_drain_foreign),
-            large_lock_acquires: self
-                .large_lock_acquires
-                .saturating_sub(earlier.large_lock_acquires),
-            large_lock_contended: self
-                .large_lock_contended
-                .saturating_sub(earlier.large_lock_contended),
-            large_shard_acquires: Self::vec_since(
-                &self.large_shard_acquires,
-                &earlier.large_shard_acquires,
-            ),
-            large_shard_contended: Self::vec_since(
-                &self.large_shard_contended,
-                &earlier.large_shard_contended,
-            ),
-            reservoir_hits: self.reservoir_hits.saturating_sub(earlier.reservoir_hits),
-            reservoir_misses: self.reservoir_misses.saturating_sub(earlier.reservoir_misses),
-            lock_wait_ns: self.lock_wait_ns.saturating_sub(earlier.lock_wait_ns),
-            lock_hold_ns: self.lock_hold_ns.saturating_sub(earlier.lock_hold_ns),
-            service_requests: self.service_requests.saturating_sub(earlier.service_requests),
-            service_completions: self
-                .service_completions
-                .saturating_sub(earlier.service_completions),
-            service_ticks: self.service_ticks.saturating_sub(earlier.service_ticks),
-            service_rebalances: self.service_rebalances.saturating_sub(earlier.service_rebalances),
-            lock_wait_hist: self.lock_wait_hist.since(&earlier.lock_wait_hist),
-            lock_hold_hist: self.lock_hold_hist.since(&earlier.lock_hold_hist),
-            trace_events: self.trace_events.saturating_sub(earlier.trace_events),
-            trace_dropped: self.trace_dropped.saturating_sub(earlier.trace_dropped),
-            booklog_appends: self.booklog_appends.saturating_sub(earlier.booklog_appends),
-            booklog_tombstones: self.booklog_tombstones.saturating_sub(earlier.booklog_tombstones),
-            booklog_fast_gc_runs: self
-                .booklog_fast_gc_runs
-                .saturating_sub(earlier.booklog_fast_gc_runs),
-            booklog_fast_gc_reaps: self
-                .booklog_fast_gc_reaps
-                .saturating_sub(earlier.booklog_fast_gc_reaps),
-            booklog_slow_gc_runs: self
-                .booklog_slow_gc_runs
-                .saturating_sub(earlier.booklog_slow_gc_runs),
-            booklog_slow_gc_copied: self
-                .booklog_slow_gc_copied
-                .saturating_sub(earlier.booklog_slow_gc_copied),
-            booklog_alt_flips: self.booklog_alt_flips.saturating_sub(earlier.booklog_alt_flips),
-            extent_best_fit: self.extent_best_fit.saturating_sub(earlier.extent_best_fit),
-            extent_splits: self.extent_splits.saturating_sub(earlier.extent_splits),
-            extent_coalesces: self.extent_coalesces.saturating_sub(earlier.extent_coalesces),
-            decay_epochs: self.decay_epochs.saturating_sub(earlier.decay_epochs),
-            pmsan_store_unfenced: self
-                .pmsan_store_unfenced
-                .saturating_sub(earlier.pmsan_store_unfenced),
-            pmsan_empty_fence: self.pmsan_empty_fence.saturating_sub(earlier.pmsan_empty_fence),
-            pmsan_redundant_flush: self
-                .pmsan_redundant_flush
-                .saturating_sub(earlier.pmsan_redundant_flush),
-            pmsan_shutdown_dirty: self
-                .pmsan_shutdown_dirty
-                .saturating_sub(earlier.pmsan_shutdown_dirty),
-            pmsan_violations: self.pmsan_violations.saturating_sub(earlier.pmsan_violations),
-            prof_samples: self.prof_samples.saturating_sub(earlier.prof_samples),
-            prof_appends: self.prof_appends.saturating_sub(earlier.prof_appends),
-            prof_frees: self.prof_frees.saturating_sub(earlier.prof_frees),
-            prof_compactions: self.prof_compactions.saturating_sub(earlier.prof_compactions),
-            prof_dropped: self.prof_dropped.saturating_sub(earlier.prof_dropped),
-            hists: self.hists.since(&earlier.hists),
-        }
+metrics_table! {
+    /// Tcache hits summed over classes.
+    tcache_hits: u64,
+    /// Tcache misses summed over classes.
+    tcache_misses: u64,
+    /// Tcache refills summed over classes.
+    tcache_refills: u64,
+    /// Tcache full-cache flushes summed over classes.
+    tcache_flushes: u64,
+    /// Per-class tcache counters, one per size class (JSON: active ones).
+    tcache_by_class: Vec<TcacheClassCounters>,
+    /// Sub-tcache cursor rotations (interleaved-tcache round-robin steps).
+    cursor_rotations: u64 = CursorRotations,
+    /// Slabs carved from the large allocator.
+    slab_allocs: u64 = SlabAllocs,
+    /// Fully-free slabs returned to the large allocator.
+    slab_retires: u64 = SlabRetires,
+    /// Slabs examined as morph candidates (LRU scan length).
+    morph_candidates: u64 = MorphCandidates,
+    /// Morph transforms started.
+    morph_started: u64 = MorphStarted,
+    /// Morph transforms completed.
+    morph_completed: u64 = MorphCompleted,
+    /// Interrupted morphs rolled back or forward during recovery.
+    morph_undone: u64 = MorphUndone,
+    /// Micro-WAL entries appended.
+    wal_appends: u64 = WalAppends,
+    /// WAL entries replayed during recovery.
+    wal_replays: u64 = WalReplays,
+    /// Arena/large mutex acquisitions on the free path (slow frees only;
+    /// the lock-free fast path never counts here).
+    free_locks: u64 = FreeLocks,
+    /// Same-thread frees completed on the lock-free fast path.
+    free_fast_local: u64 = FreeFastLocal,
+    /// Cross-arena frees pushed onto a remote-free queue.
+    free_remote: u64 = FreeRemote,
+    /// Remote-free queue drain batches (non-empty drains).
+    remote_drain_batches: u64 = RemoteDrainBatches,
+    /// Blocks returned to slabs by remote-queue drains.
+    remote_drained: u64 = RemoteDrained,
+    /// Foreign-arena remote queues drained opportunistically by a malloc
+    /// slow path (the drain hook; counts non-empty drains).
+    remote_drain_foreign: u64 = RemoteDrainForeign,
+    /// Large-shard mutex acquisitions on the large-op path (alloc, free,
+    /// and slab carve/retire; observer reads are excluded).
+    large_lock_acquires: u64,
+    /// Large-shard mutex acquisitions that found the lock held and had to
+    /// block; divided by the acquisitions, the shard contention rate.
+    large_lock_contended: u64,
+    /// Per-shard large-lock acquisitions, indexed by shard number.
+    large_shard_acquires: Vec<u64>,
+    /// Per-shard contended large-lock acquisitions, indexed by shard number.
+    large_shard_contended: Vec<u64>,
+    /// Slab carves served from a per-arena reservoir.
+    reservoir_hits: u64 = ReservoirHits,
+    /// Slab carves that had to take a large-shard lock.
+    reservoir_misses: u64 = ReservoirMisses,
+    /// Wall-clock ns spent waiting for instrumented mutexes (arena and
+    /// large-shard locks; the baselines' global mutexes). Host time, not
+    /// modelled: the virtual clocks deliberately do not see contention.
+    lock_wait_ns: u64 = LockWaitNs,
+    /// Wall-clock nanoseconds instrumented mutexes were held.
+    lock_hold_ns: u64 = LockHoldNs,
+    /// Slow-path requests (retires past a full reservoir, restock carves)
+    /// submitted to the [`crate::service`] per-arena queues.
+    service_requests: u64 = ServiceRequests,
+    /// Service requests executed to completion by an epoch tick.
+    service_completions: u64 = ServiceCompletions,
+    /// Service epoch ticks executed (cooperative or threaded).
+    service_ticks: u64 = ServiceTicks,
+    /// Occupancy-aware large-shard rebalance decisions that changed the
+    /// overflow-shard preference.
+    service_rebalances: u64 = ServiceRebalances,
+    /// Flight-recorder events captured (still resident in the rings).
+    trace_events: u64,
+    /// Flight-recorder events overwritten by drop-oldest wraparound.
+    trace_dropped: u64,
+    /// Bookkeeping-log entries appended (includes slow-GC copies).
+    booklog_appends: u64,
+    /// Bookkeeping-log tombstones appended.
+    booklog_tombstones: u64,
+    /// Fast-GC passes over the booklog.
+    booklog_fast_gc_runs: u64,
+    /// Empty chunks reaped by fast GC.
+    booklog_fast_gc_reaps: u64,
+    /// Slow-GC passes over the booklog.
+    booklog_slow_gc_runs: u64,
+    /// Live entries copied by slow GC.
+    booklog_slow_gc_copied: u64,
+    /// Dual-chain head flips performed by slow GC.
+    booklog_alt_flips: u64,
+    /// pmsan: stores over a flushed-but-unfenced line (ordering races).
+    pmsan_store_unfenced: u64,
+    /// pmsan: fences issued with zero pending flushes.
+    pmsan_empty_fence: u64,
+    /// pmsan: flushes of lines with nothing unpersisted.
+    pmsan_redundant_flush: u64,
+    /// pmsan: lines still unpersisted at the shutdown audit.
+    pmsan_shutdown_dirty: u64,
+    /// pmsan: total persist-ordering violations (sum of the four above).
+    pmsan_violations: u64,
+    /// Profiler: sampled allocation events ([`crate::prof`]).
+    prof_samples: u64,
+    /// Profiler: provenance-sidelog records appended (ALLOC + FREE).
+    prof_appends: u64,
+    /// Profiler: sampled free events (FREE records for sampled objects).
+    prof_frees: u64,
+    /// Profiler: sidelog half compactions.
+    prof_compactions: u64,
+    /// Profiler: records dropped because both sidelog halves were full of
+    /// live records (coverage loss, not corruption).
+    prof_dropped: u64,
+    /// Extent allocations served by best-fit from the free lists.
+    extent_best_fit: u64,
+    /// Extent splits (head/tail remainders produced by carving).
+    extent_splits: u64,
+    /// Extent coalesces with address-adjacent reclaimed neighbours.
+    extent_coalesces: u64,
+    /// Decay-schedule ticks executed by the large allocator.
+    decay_epochs: u64,
+    ;
+    /// Histogram of per-acquisition lock wait times (wall-clock ns).
+    lock_wait_hist: LatencyHistogram,
+    /// Histogram of per-acquisition lock hold times (wall-clock ns).
+    lock_hold_hist: LatencyHistogram,
+    /// Op-latency histograms over the virtual PM clock.
+    hists: OpHistograms,
+}
+
+/// How a metrics-table field diffs and renders.
+trait Metric {
+    /// Saturating difference `self - earlier`; entries missing from
+    /// `earlier` count as zero.
+    fn since(&self, earlier: &Self) -> Self;
+    /// The field's JSON value.
+    fn json(&self) -> String;
+}
+
+impl Metric for u64 {
+    fn since(&self, earlier: &Self) -> Self {
+        self.saturating_sub(*earlier)
     }
 
-    /// Elementwise saturating difference of per-shard counter vectors;
-    /// entries missing from `earlier` are treated as zero (mirrors the
-    /// per-class tcache convention).
-    fn vec_since(now: &[u64], earlier: &[u64]) -> Vec<u64> {
-        now.iter()
-            .enumerate()
-            .map(|(i, v)| v.saturating_sub(*earlier.get(i).unwrap_or(&0)))
+    fn json(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl Metric for Vec<u64> {
+    fn since(&self, earlier: &Self) -> Self {
+        self.iter().enumerate().map(|(i, v)| v.since(earlier.get(i).unwrap_or(&0))).collect()
+    }
+
+    fn json(&self) -> String {
+        json::u64_array(self)
+    }
+}
+
+impl Metric for Vec<TcacheClassCounters> {
+    fn since(&self, earlier: &Self) -> Self {
+        let zero = TcacheClassCounters::default();
+        let earlier = earlier.iter().chain(std::iter::repeat(&zero));
+        self.iter()
+            .zip(earlier)
+            .map(|(c, e)| TcacheClassCounters {
+                class: c.class,
+                hits: c.hits.since(&e.hits),
+                misses: c.misses.since(&e.misses),
+                refills: c.refills.since(&e.refills),
+                flushes: c.flushes.since(&e.flushes),
+            })
             .collect()
     }
 
-    /// The snapshot as one JSON object (no trailing newline). Per-class
-    /// tcache counters are emitted only for classes with activity;
-    /// histograms are emitted as 64-element bucket arrays per op kind.
-    pub fn to_json(&self) -> String {
-        let mut o = json::JsonObj::new();
-        o.field_u64("schema_version", SCHEMA_VERSION);
-        o.field_u64("tcache_hits", self.tcache_hits);
-        o.field_u64("tcache_misses", self.tcache_misses);
-        o.field_u64("tcache_refills", self.tcache_refills);
-        o.field_u64("tcache_flushes", self.tcache_flushes);
-        let classes: Vec<String> = self
-            .tcache_by_class
-            .iter()
-            .filter(|c| c.any())
+    fn json(&self) -> String {
+        let active = self.iter().filter(|c| c.hits | c.misses | c.refills | c.flushes != 0);
+        let classes: Vec<String> = active
             .map(|c| {
                 let mut e = json::JsonObj::new();
                 e.field_u64("class", c.class as u64);
@@ -821,57 +669,18 @@ impl MetricsSnapshot {
                 e.finish()
             })
             .collect();
-        o.field_raw("tcache_by_class", &format!("[{}]", classes.join(",")));
-        o.field_u64("cursor_rotations", self.cursor_rotations);
-        o.field_u64("slab_allocs", self.slab_allocs);
-        o.field_u64("slab_retires", self.slab_retires);
-        o.field_u64("morph_candidates", self.morph_candidates);
-        o.field_u64("morph_started", self.morph_started);
-        o.field_u64("morph_completed", self.morph_completed);
-        o.field_u64("morph_undone", self.morph_undone);
-        o.field_u64("wal_appends", self.wal_appends);
-        o.field_u64("wal_replays", self.wal_replays);
-        o.field_u64("free_locks", self.free_locks);
-        o.field_u64("free_fast_local", self.free_fast_local);
-        o.field_u64("free_remote", self.free_remote);
-        o.field_u64("remote_drain_batches", self.remote_drain_batches);
-        o.field_u64("remote_drained", self.remote_drained);
-        o.field_u64("remote_drain_foreign", self.remote_drain_foreign);
-        o.field_u64("large_lock_acquires", self.large_lock_acquires);
-        o.field_u64("large_lock_contended", self.large_lock_contended);
-        o.field_raw("large_shard_acquires", &json::u64_array(&self.large_shard_acquires));
-        o.field_raw("large_shard_contended", &json::u64_array(&self.large_shard_contended));
-        o.field_u64("reservoir_hits", self.reservoir_hits);
-        o.field_u64("reservoir_misses", self.reservoir_misses);
-        o.field_u64("lock_wait_ns", self.lock_wait_ns);
-        o.field_u64("lock_hold_ns", self.lock_hold_ns);
-        o.field_u64("service_requests", self.service_requests);
-        o.field_u64("service_completions", self.service_completions);
-        o.field_u64("service_ticks", self.service_ticks);
-        o.field_u64("service_rebalances", self.service_rebalances);
-        o.field_u64("trace_events", self.trace_events);
-        o.field_u64("trace_dropped", self.trace_dropped);
-        o.field_u64("booklog_appends", self.booklog_appends);
-        o.field_u64("booklog_tombstones", self.booklog_tombstones);
-        o.field_u64("booklog_fast_gc_runs", self.booklog_fast_gc_runs);
-        o.field_u64("booklog_fast_gc_reaps", self.booklog_fast_gc_reaps);
-        o.field_u64("booklog_slow_gc_runs", self.booklog_slow_gc_runs);
-        o.field_u64("booklog_slow_gc_copied", self.booklog_slow_gc_copied);
-        o.field_u64("booklog_alt_flips", self.booklog_alt_flips);
-        o.field_u64("pmsan_store_unfenced", self.pmsan_store_unfenced);
-        o.field_u64("pmsan_empty_fence", self.pmsan_empty_fence);
-        o.field_u64("pmsan_redundant_flush", self.pmsan_redundant_flush);
-        o.field_u64("pmsan_shutdown_dirty", self.pmsan_shutdown_dirty);
-        o.field_u64("pmsan_violations", self.pmsan_violations);
-        o.field_u64("prof_samples", self.prof_samples);
-        o.field_u64("prof_appends", self.prof_appends);
-        o.field_u64("prof_frees", self.prof_frees);
-        o.field_u64("prof_compactions", self.prof_compactions);
-        o.field_u64("prof_dropped", self.prof_dropped);
-        o.field_u64("extent_best_fit", self.extent_best_fit);
-        o.field_u64("extent_splits", self.extent_splits);
-        o.field_u64("extent_coalesces", self.extent_coalesces);
-        o.field_u64("decay_epochs", self.decay_epochs);
+        format!("[{}]", classes.join(","))
+    }
+}
+
+impl MetricsSnapshot {
+    /// The snapshot as one JSON object (no trailing newline): the table's
+    /// fields in row order, then the histograms as 64-element bucket arrays
+    /// per op kind and their quantiles.
+    pub fn to_json(&self) -> String {
+        let mut o = json::JsonObj::new();
+        o.field_u64("schema_version", SCHEMA_VERSION);
+        self.table_json(&mut o);
         let mut h = json::JsonObj::new();
         for kind in OpKind::ALL {
             h.field_raw(kind.label(), &json::u64_array(&self.hists.of(kind).buckets));
@@ -884,10 +693,9 @@ impl MetricsSnapshot {
             let hist = self.hists.of(kind);
             let mut kq = json::JsonObj::new();
             kq.field_u64("count", hist.count());
-            kq.field_u64("p50", hist.quantile(0.50));
-            kq.field_u64("p95", hist.quantile(0.95));
-            kq.field_u64("p99", hist.quantile(0.99));
-            kq.field_u64("p999", hist.quantile(0.999));
+            for (key, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99), ("p999", 0.999)] {
+                kq.field_u64(key, hist.quantile(q));
+            }
             q.field_raw(kind.label(), &kq.finish());
         }
         o.field_raw("latency", &q.finish());
@@ -952,16 +760,8 @@ pub mod json {
 
     /// Render a `u64` slice as a JSON array.
     pub fn u64_array(xs: &[u64]) -> String {
-        let mut out = String::with_capacity(2 + xs.len() * 2);
-        out.push('[');
-        for (i, x) in xs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&x.to_string());
-        }
-        out.push(']');
-        out
+        let items: Vec<String> = xs.iter().map(u64::to_string).collect();
+        format!("[{}]", items.join(","))
     }
 
     /// An incrementally built JSON object.
